@@ -1,15 +1,10 @@
-"""Shortest-dipath kernels over CSR arrays.
+"""The shortest-dipath kernel over CSR arrays.
 
-Two interchangeable implementations: a numba-compiled binary-heap Dijkstra
-(the default) and a pure-numpy quadratic scan. Both settle nodes in
-(distance, node index) order and only ever overwrite a predecessor on a
-strict improvement, so they return bit-identical distance and predecessor
-arrays. Select with the ``SPECTER_BACKEND`` environment variable:
-``auto`` (default), ``numba`` or ``numpy``.
+One binary-heap Dijkstra. It is compiled with numba when numba imports and
+runs as plain Python on the same numpy arrays when it does not, so both
+configurations return the same arrays by construction.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -29,24 +24,22 @@ except ImportError:  # pragma: no cover - exercised only without numba installed
         return wrap
 
 
-BACKEND_ENV = "SPECTER_BACKEND"
-_BACKENDS = ("auto", "numba", "numpy")
-
-
-def resolve_backend(name: str = None) -> str:
-    """Pick the kernel implementation: explicit arg beats the env flag."""
-    choice = (name or os.environ.get(BACKEND_ENV, "auto")).lower()
-    if choice not in _BACKENDS:
-        raise ValueError(f"unknown backend {choice!r}, expected one of {_BACKENDS}")
-    if choice == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return choice
+def resolve_backend() -> str:
+    """How the kernel runs here: ``"numba"`` (compiled) or ``"python"``."""
+    return "numba" if HAS_NUMBA else "python"
 
 
 @njit(cache=True, nogil=True)
-def _dijkstra_csr_numba(indptr, indices, weights, source, target):  # pragma: no cover
+def dijkstra_arrays(indptr, indices, weights, source, goal):
+    """Single-source search that stops at the first node it settles whose
+    ``goal`` bit is set.
+
+    Returns ``(dist, pred, found)``: unreached nodes keep ``inf`` / -1, and
+    ``found`` is the settled goal node, or -1 when no goal is reachable.
+    Nodes settle in (distance, node index) order and a predecessor is only
+    overwritten on a strict improvement, so among goals of equal cost the
+    one with the smallest index is found.
+    """
     n = indptr.shape[0] - 1
     dist = np.full(n, np.inf)
     pred = np.full(n, -1, dtype=np.int64)
@@ -59,6 +52,7 @@ def _dijkstra_csr_numba(indptr, indices, weights, source, target):  # pragma: no
     heap_v[0] = source
     size = 1
     dist[source] = 0.0
+    found = -1
     while size > 0:
         d0 = heap_d[0]
         v0 = heap_v[0]
@@ -88,7 +82,8 @@ def _dijkstra_csr_numba(indptr, indices, weights, source, target):  # pragma: no
         if done[v0]:
             continue
         done[v0] = True
-        if v0 == target:
+        if goal[v0]:
+            found = v0
             break
         for k in range(indptr[v0], indptr[v0 + 1]):
             w = indices[k]
@@ -112,38 +107,4 @@ def _dijkstra_csr_numba(indptr, indices, weights, source, target):  # pragma: no
                         j = parent
                     else:
                         break
-    return dist, pred
-
-
-def _dijkstra_csr_numpy(indptr, indices, weights, source, target):
-    n = indptr.shape[0] - 1
-    dist = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=np.int64)
-    unsettled = np.ones(n, dtype=bool)
-    dist[source] = 0.0
-    for _ in range(n):
-        frontier = np.where(unsettled, dist, np.inf)
-        u = int(np.argmin(frontier))  # first index wins ties: smallest node
-        if not np.isfinite(frontier[u]):
-            break
-        unsettled[u] = False
-        if u == target:
-            break
-        lo, hi = indptr[u], indptr[u + 1]
-        vs = indices[lo:hi]
-        nd = dist[u] + weights[lo:hi]
-        better = nd < dist[vs]
-        dist[vs[better]] = nd[better]
-        pred[vs[better]] = u
-    return dist, pred
-
-
-def dijkstra_arrays(indptr, indices, weights, source: int, target: int, backend: str = None):
-    """Run one single-source search, early-exiting once ``target`` settles.
-
-    ``target`` may be -1 to settle the whole reachable component. Returns
-    ``(dist, pred)`` arrays; unreachable nodes keep ``inf`` / -1.
-    """
-    if resolve_backend(backend) == "numba":
-        return _dijkstra_csr_numba(indptr, indices, weights, source, target)
-    return _dijkstra_csr_numpy(indptr, indices, weights, source, target)
+    return dist, pred, found

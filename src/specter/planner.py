@@ -3,18 +3,20 @@
 A plan is a closed module chain: single input/output port modules strung
 together output-to-input, plus the inverted virtual task module that closes
 the loop from the reached goal back to the initial state. The complete solver
-sweeps every marked goal state and keeps the cheapest chain; the heuristic
-solver aims at the single goal state that leaves every unconstrained agent
-where it started and truncates the path at the first state satisfying the
-task, trading optimality and completeness for one search instead of many.
+runs one search from the initial state that stops at the first marked goal
+state it settles, which is the cheapest one; the heuristic solver aims at the
+single goal state that leaves every unconstrained agent where it started and
+truncates the path at the first state satisfying the task, trading
+optimality and completeness for a search toward one fixed state.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
+from ._kernels import dijkstra_arrays
 from .automata import (
     VIRTUAL_NAMESPACE,
     EventId,
@@ -36,9 +38,7 @@ from .errors import (
     UnknownState,
 )
 from .graph import WeightedGraph, to_graph
-from .search import dijkstra, dijkstra_indices
-
-THREADS_ENV = "SPECTER_THREADS"
+from .search import dijkstra, reconstruct
 
 VIRTUAL_TASK_EVENT = EventId(VIRTUAL_NAMESPACE, "task")
 
@@ -176,14 +176,12 @@ def plan_complete(
     task: TaskSpecification,
     *,
     graph: WeightedGraph = None,
-    backend: str = None,
-    threads: int = None,
 ) -> PlanResult:
-    """Sweep every marked state matching the task and keep the cheapest chain.
+    """Cheapest chain to any marked state matching the task.
 
-    Unreachable goals are skipped; the task is infeasible only when every goal
-    is unreachable. Ties on cost resolve to the goal with the smallest node
-    index.
+    One search from ``x0`` stops at the first goal state it settles. The task
+    is infeasible only when no goal is reachable. Ties on cost resolve to the
+    goal with the smallest node index.
     """
     x0 = tuple(x0)
     a = env.automaton
@@ -195,35 +193,16 @@ def plan_complete(
 
     g = to_graph(env) if graph is None else graph
     source = g.node_index[x0]
-    goals = [i for i, s in enumerate(g.states) if s in a.marked and proj(s, b) == gamma]
-    if not goals:
+    goal = np.fromiter(
+        (s in a.marked and proj(s, b) == gamma for s in g.states), dtype=np.bool_, count=g.n_nodes
+    )
+    if not goal.any():
         raise NoGoalStates(f"no marked state projects onto {gamma} under {task.projector}")
-
-    def run(t: int):
-        try:
-            return dijkstra_indices(g, source, t, backend)
-        except NoPath:
-            return None
-
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "0") or 0)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, goals))
-    else:
-        results = [run(t) for t in goals]
-
-    best = None
-    for outcome in results:  # goal order is ascending node index
-        if outcome is None:
-            continue
-        idx_path, cost = outcome
-        if best is None or cost < best[1]:
-            best = (idx_path, cost)
-    if best is None:
+    _, pred, found = dijkstra_arrays(g.indptr, g.indices, g.weights, source, goal)
+    if found < 0:
         raise TaskInfeasible(f"no goal state is reachable from {state_str(x0)}")
 
-    path = [g.states[i] for i in best[0]]
+    path = [g.states[i] for i in reconstruct(pred, source, int(found))]
     chain = build_chain(path, g, x0, path[-1])
     return PlanResult(chain, chain.total_cost, path[-1], "complete")
 
@@ -234,7 +213,6 @@ def plan_heuristic(
     task: TaskSpecification,
     *,
     graph: WeightedGraph = None,
-    backend: str = None,
 ) -> PlanResult:
     """Single-goal search: aim at the unique marked state that satisfies the
     task and agrees with ``x0`` everywhere else, then truncate the path at the
@@ -256,7 +234,7 @@ def plan_heuristic(
         raise NoSuchGoal(f"{state_str(x_d)} is not a marked state of the model")
 
     g = to_graph(env) if graph is None else graph
-    path, _ = dijkstra(g, x0, x_d, backend)  # NoPath propagates: heuristic failure
+    path, _ = dijkstra(g, x0, x_d)  # NoPath propagates: heuristic failure
 
     cost = 0.0
     for k in range(1, len(path)):

@@ -1,7 +1,7 @@
 """State-level shortest-dipath search over a :class:`WeightedGraph`."""
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from ._kernels import dijkstra_arrays
 from .errors import NoPath, UnknownState
@@ -28,23 +28,24 @@ def reconstruct(pred, source: int, target: int) -> list:
     return path
 
 
-def dijkstra_indices(g: WeightedGraph, source: int, target: int, backend: str = None):
+def dijkstra_indices(g: WeightedGraph, source: int, target: int):
     """Index-level search: returns ``(node index path, cost)`` or raises
     :class:`NoPath`."""
-    dist, pred = dijkstra_arrays(g.indptr, g.indices, g.weights, source, target, backend)
-    cost = float(dist[target])
-    if math.isinf(cost):
+    goal = np.zeros(g.n_nodes, dtype=np.bool_)
+    goal[target] = True
+    dist, pred, found = dijkstra_arrays(g.indptr, g.indices, g.weights, source, goal)
+    if found < 0:
         raise NoPath(f"node {target} unreachable from node {source}")
-    return reconstruct(pred, source, target), cost
+    return reconstruct(pred, source, target), float(dist[target])
 
 
-def dijkstra(g: WeightedGraph, source: State, target: State, backend: str = None):
+def dijkstra(g: WeightedGraph, source: State, target: State):
     """Minimum-cost directed path between two states.
 
     Returns ``(path, cost)`` where ``path`` is the state sequence including
     both endpoints; ``cost`` is the sum of edge weights along it. Ties on path
-    cost resolve toward smaller node indices, identically in every backend.
+    cost resolve toward smaller node indices.
     """
     s, t = _node(g, source), _node(g, target)
-    idx_path, cost = dijkstra_indices(g, s, t, backend)
+    idx_path, cost = dijkstra_indices(g, s, t)
     return [g.states[i] for i in idx_path], cost

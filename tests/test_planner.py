@@ -16,6 +16,7 @@ from specter.errors import (
     UnknownState,
 )
 from specter.graph import to_graph
+from specter.search import dijkstra_indices
 from specter.oracle import brute_force_shortest, enumerate_goal_states, random_scenario
 from specter.planner import (
     ModuleChain,
@@ -206,15 +207,77 @@ class TestPlanComplete:
             hits += 1
         assert hits >= 40
 
-    def test_threads_do_not_change_result(self):
-        gs = random_scenario(123)
-        env = build_environment(gs.agents, gs.inter)
-        try:
-            sequential = plan_complete(env, gs.initial, gs.task, threads=0)
-            threaded = plan_complete(env, gs.initial, gs.task, threads=4)
-        except (TaskInfeasible, NoGoalStates):
-            return
-        assert sequential == threaded
+
+class TestTieBreakContract:
+    """The complete solver answers as one single-target search per goal
+    would, keeping the minimum over (cost, node index)."""
+
+    @staticmethod
+    def _per_goal_minimum(env, g, x0, task):
+        a, b, gamma = env.automaton, task.projector, task.target
+        goals = [i for i, s in enumerate(g.states) if s in a.marked and proj(s, b) == gamma]
+        best = None
+        for t in goals:
+            try:
+                path, cost = dijkstra_indices(g, g.node_index[x0], t)
+            except NoPath:
+                continue
+            if best is None or (cost, t) < (best[1], best[0][-1]):
+                best = (path, cost)
+        return goals, best
+
+    def test_matches_per_goal_searches_on_random_models(self):
+        planned = 0
+        for seed in range(300):
+            gs = random_scenario(seed)
+            env = build_environment(gs.agents, gs.inter)
+            g = to_graph(env)
+            goals, best = self._per_goal_minimum(env, g, gs.initial, gs.task)
+            if not goals:
+                with pytest.raises(NoGoalStates):
+                    plan_complete(env, gs.initial, gs.task, graph=g)
+                continue
+            if best is None:
+                with pytest.raises(TaskInfeasible):
+                    plan_complete(env, gs.initial, gs.task, graph=g)
+                continue
+            path, cost = best
+            result = plan_complete(env, gs.initial, gs.task, graph=g)
+            assert result.cost == cost
+            assert result.goal_state == g.states[path[-1]]
+            assert result.chain.events == tuple(
+                g.chosen_event[(i, j)] for i, j in zip(path, path[1:])
+            )
+            planned += 1
+        assert planned >= 100
+
+    @pytest.mark.parametrize("other", ["Q", "O"])
+    def test_equal_cost_goals_smaller_index_wins(self, other):
+        # Goal (B, P) is two hops away and goal (B, other) one inter-agent hop,
+        # both at cost 6. "Q" sorts after "P" and "O" before it, so neither the
+        # hop count nor the order in which goals are first reached decides.
+        from specter.composer import InterAgentSpec
+
+        go, on, both = ev("x", "go"), ev("x", "on"), ev("inter", "both")
+        x = make_nfa(
+            ("x",), [("A",), ("M",), ("B",)], [go, on],
+            {(("A",), go): ("M",), (("M",), on): ("B",)}, {go: 3, on: 3},
+        )
+        y = make_nfa(("y",), [("P",), (other,)], (), {}, {})
+        caps = make_nfa(
+            ("x", "y"), {("A", "P"), ("B", other)}, [both],
+            {(("A", "P"), both): ("B", other)}, {both: 6},
+        )
+        env = build_environment(
+            [AgentSpec("x", (x,)), AgentSpec("y", (y,))], InterAgentSpec(capabilities=caps)
+        )
+        g = to_graph(env)
+        task = task_for(("x", "y"), {"x": "B"})
+        for goal in (("B", "P"), ("B", other)):
+            assert dijkstra_indices(g, g.node_index[("A", "P")], g.node_index[goal])[1] == 6.0
+        result = plan_complete(env, ("A", "P"), task, graph=g)
+        assert result.cost == 6.0
+        assert result.goal_state == min(("B", "P"), ("B", other), key=g.node_index.get)
 
 
 class TestPlanHeuristic:
@@ -321,16 +384,3 @@ class TestPlanReplay:
                 for m in result.chain.modules:
                     changed = sum(1 for a, b in zip(m.input_port, m.output_port) if a != b)
                     assert changed <= 1
-
-
-def test_threads_env_var_caps_parallelism(monkeypatch):
-    from specter.oracle import random_scenario
-    from specter.composer import build_environment
-
-    gs = random_scenario(19)
-    env = build_environment(gs.agents, gs.inter)
-    monkeypatch.setenv("SPECTER_THREADS", "0")
-    sequential = plan_complete(env, gs.initial, gs.task)
-    monkeypatch.setenv("SPECTER_THREADS", "3")
-    threaded = plan_complete(env, gs.initial, gs.task)
-    assert sequential == threaded

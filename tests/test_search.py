@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from specter._kernels import HAS_NUMBA, dijkstra_arrays, resolve_backend
+import specter._kernels as kernels
+from specter._kernels import dijkstra_arrays
 from specter.automata import make_nfa
 from specter.composer import build_environment
 from specter.errors import NoPath, UnknownState
@@ -73,44 +74,28 @@ class TestDijkstra:
             assert walked == cost
 
 
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-class TestBackendEquivalence:
-    def test_resolve(self, monkeypatch):
-        monkeypatch.delenv("SPECTER_BACKEND", raising=False)
-        assert resolve_backend() == "numba"
-        monkeypatch.setenv("SPECTER_BACKEND", "numpy")
-        assert resolve_backend() == "numpy"
-        assert resolve_backend("numba") == "numba"
-        with pytest.raises(ValueError):
-            resolve_backend("magic")
-
-    def test_identical_results_on_random_models(self):
-        # Both backends settle in (distance, node) order and only overwrite a
-        # predecessor on strict improvement, so the full arrays must match.
-        for seed in range(60):
-            gs = random_scenario(seed + 4000)
-            env = build_environment(gs.agents, gs.inter)
-            g = to_graph(env)
-            source = seed % g.n_nodes
-            target = (seed * 7 + 3) % g.n_nodes
-            d1, p1 = dijkstra_arrays(g.indptr, g.indices, g.weights, source, target, "numba")
-            d2, p2 = dijkstra_arrays(g.indptr, g.indices, g.weights, source, target, "numpy")
-            assert np.array_equal(d1, d2)
-            assert np.array_equal(p1, p2)
-
-    def test_env_flag_selects_fallback(self, monkeypatch):
+class TestKernel:
+    def test_stops_at_first_settled_goal(self):
         g = _line_graph()
-        monkeypatch.setenv("SPECTER_BACKEND", "numpy")
-        path, cost = dijkstra(g, ("A",), ("C",))
-        assert cost == 5.0
-        assert path == [("A",), ("B",), ("C",)]
+        goal = np.zeros(g.n_nodes, dtype=np.bool_)
+        goal[[g.node_index[("B",)], g.node_index[("C",)]]] = True
+        dist, pred, found = dijkstra_arrays(g.indptr, g.indices, g.weights, 0, goal)
+        assert found == g.node_index[("B",)]
+        assert dist[found] == 2.0
+        assert np.isinf(dist[g.node_index[("C",)]])
+
+    def test_no_reachable_goal(self):
+        g = _line_graph()
+        goal = np.zeros(g.n_nodes, dtype=np.bool_)
+        goal[g.node_index[("D",)]] = True
+        dist, pred, found = dijkstra_arrays(g.indptr, g.indices, g.weights, 0, goal)
+        assert found == -1
+        # With no goal reachable the whole component settles.
+        assert list(dist) == [0.0, 2.0, 5.0, np.inf]
+        assert list(pred) == [-1, 0, 1, -1]
 
 
-def test_numba_request_without_numba(monkeypatch):
-    import specter._kernels as kernels
-
-    monkeypatch.setattr(kernels, "HAS_NUMBA", False)
-    monkeypatch.delenv("SPECTER_BACKEND", raising=False)
-    assert kernels.resolve_backend() == "numpy"
-    with pytest.raises(RuntimeError):
-        kernels.resolve_backend("numba")
+def test_resolve_backend_reports_how_the_kernel_runs(monkeypatch):
+    for has_numba, expected in ((True, "numba"), (False, "python")):
+        monkeypatch.setattr(kernels, "HAS_NUMBA", has_numba)
+        assert kernels.resolve_backend() == expected
