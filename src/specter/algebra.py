@@ -11,9 +11,9 @@ construction.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from .automata import Epsilon0Nfa, check_compatible, make_nfa
+from .automata import Epsilon0Nfa, compare_signatures, make_nfa
 from .errors import ArityMismatch, CostConflict, EventCollision, Incompatible, SlotCollision
 
 
@@ -24,8 +24,10 @@ def _require_same_slots(a: Epsilon0Nfa, b: Epsilon0Nfa, op: str) -> None:
         )
 
 
-def _require_compatible(a: Epsilon0Nfa, b: Epsilon0Nfa, op: str) -> None:
-    report = check_compatible(a, b)
+def require_compatible(left: Mapping, right: Mapping, op: str) -> None:
+    """Raise :class:`Incompatible` when two endpoint-pattern maps disagree on
+    a shared event."""
+    report = compare_signatures(left, right)
     if not report.ok:
         raise Incompatible(f"{op} operands are incompatible: {report}")
 
@@ -34,7 +36,7 @@ def union_compat(a: Epsilon0Nfa, b: Epsilon0Nfa) -> Epsilon0Nfa:
     """Merge two compatible automata: states, events, transitions and marked
     sets are unions; shared events must agree on cost."""
     _require_same_slots(a, b, "union")
-    _require_compatible(a, b, "union")
+    require_compatible(a.signatures, b.signatures, "union")
     for e in sorted(a.events & b.events):
         if a.costs[e] != b.costs[e]:
             raise CostConflict(f"event {e} costs {a.costs[e]} in one operand, {b.costs[e]} in the other")
@@ -60,7 +62,7 @@ def subtract_compat(a: Epsilon0Nfa, b: Epsilon0Nfa) -> Epsilon0Nfa:
     isolated.
     """
     _require_same_slots(a, b, "subtraction")
-    _require_compatible(a, b, "subtraction")
+    require_compatible(a.signatures, b.signatures, "subtraction")
     surviving = a.events - b.events
     transitions = {(x, e): y for (x, e), y in a.transitions.items() if e in surviving}
     return make_nfa(

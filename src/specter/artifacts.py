@@ -7,13 +7,16 @@ when the document is created, so parsing a serialized document is exact.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .automata import EventId, make_nfa, parse_state, state_str
 from .composer import EnvironmentModel
-from .errors import ArtifactError
+from .errors import ArtifactError, SpecterError
 from .planner import ModuleChain, PlanResult, PortModule
 
 MODEL_FORMAT = "specter-model"
@@ -22,23 +25,18 @@ FORMAT_VERSION = 1
 
 
 def dump_model(env: EnvironmentModel) -> str:
-    a = env.automaton
-    states = sorted(a.states)
-    state_index = {s: i for i, s in enumerate(states)}
-    events = sorted(a.events)
-    event_index = {e: i for i, e in enumerate(events)}
-    transitions = sorted(
-        (state_index[x], event_index[e], state_index[y]) for (x, e), y in a.transitions.items()
-    )
+    table = env.transition_table()
     doc = {
         "format": MODEL_FORMAT,
         "version": FORMAT_VERSION,
         "agents": list(env.agent_ids),
         "alphabets": [sorted(alpha) for alpha in env.per_agent_alphabets],
-        "states": [state_str(s) for s in states],
-        "marked": sorted(state_index[s] for s in a.marked),
-        "events": [{"event": str(e), "cost": a.costs[e]} for e in events],
-        "transitions": [list(t) for t in transitions],
+        "states": [state_str(s) for s in env.states],
+        "marked": np.flatnonzero(env.marked).tolist(),
+        "events": [
+            {"event": str(e), "cost": cost} for e, cost in zip(env.events, env.event_costs.tolist())
+        ],
+        "transitions": table.tolist(),
     }
     return json.dumps(doc, indent=1) + "\n"
 
@@ -61,22 +59,62 @@ def _load_json(text: str, expected_format: str) -> dict:
     return doc
 
 
+def _malformed(what: str) -> ArtifactError:
+    return ArtifactError(f"malformed model document: {what}")
+
+
+def _index_table(values, bounds, what: str) -> None:
+    """``values`` must be rows of non-negative integers, column *c* below
+    ``bounds[c]``."""
+    table = np.asarray(values)
+    if not table.size:
+        return
+    if table.dtype.kind not in "iu" or table.shape[1:] != (len(bounds),):
+        raise _malformed(f"{what} must be rows of {len(bounds)} integers")
+    if table.min() < 0 or np.any(table.max(axis=0) >= bounds):
+        raise _malformed(f"{what} reference indices out of range")
+
+
 def parse_model(text: str) -> EnvironmentModel:
+    """Read a model document, validating all of it: the states must be the
+    product of the sorted alphabets, in order, and the automaton goes through
+    :func:`~specter.automata.make_nfa`. Every defect raises
+    :class:`ArtifactError`."""
     doc = _load_json(text, MODEL_FORMAT)
     try:
         agents = tuple(doc["agents"])
-        alphabets = tuple(frozenset(labels) for labels in doc["alphabets"])
-        states = [parse_state(s) for s in doc["states"]]
-        events = [EventId.parse(e["event"]) for e in doc["events"]]
-        costs = {e: entry["cost"] for e, entry in zip(events, doc["events"])}
-        marked = {states[i] for i in doc["marked"]}
-        transitions = {
-            (states[i], events[k]): states[j] for i, k, j in doc["transitions"]
-        }
+        alphabets = [list(labels) for labels in doc["alphabets"]]
+        raw_states, raw_events = list(doc["states"]), list(doc["events"])
+        marked_at, triples = list(doc["marked"]), list(doc["transitions"])
+        if not all(isinstance(label, str) for labels in alphabets for label in labels):
+            raise _malformed("alphabet labels must be strings")
+        if any(len(set(labels)) != len(labels) for labels in alphabets):
+            raise _malformed("an alphabet repeats a label")
+        if len(alphabets) != len(agents):
+            raise _malformed(f"{len(agents)} agents but {len(alphabets)} alphabets")
+        product = [state_str(s) for s in itertools.product(*map(sorted, alphabets))]
+        if raw_states != product:
+            raise _malformed("states are not the product of the sorted alphabets, in order")
+        for entry in raw_events:
+            if not isinstance(entry["event"], str):
+                raise _malformed(f"event {entry['event']!r} is not a string")
+            cost = entry["cost"]
+            if isinstance(cost, bool) or not isinstance(cost, (int, float)):
+                raise _malformed(f"cost {cost!r} of {entry['event']} is not a number")
+        states = [parse_state(s) for s in raw_states]
+        events = [EventId.parse(e["event"]) for e in raw_events]
+        costs = {e: entry["cost"] for e, entry in zip(events, raw_events)}
+        _index_table([[i] for i in marked_at], (len(states),), "marked states")
+        _index_table(triples, (len(states), len(events), len(states)), "transitions")
+        marked = {states[i] for i in marked_at}
+        transitions = {(states[i], events[k]): states[j] for i, k, j in triples}
     except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"malformed model document: {exc!r}") from None
-    nfa = make_nfa(agents, states, events, transitions, costs, marked=marked)
-    return EnvironmentModel(nfa, agents, alphabets)
+        raise _malformed(repr(exc)) from None
+    try:
+        nfa = make_nfa(agents, states, events, transitions, costs, marked=marked)
+        return EnvironmentModel(nfa, agents, alphabets)
+    except (SpecterError, ValueError, OverflowError) as exc:
+        raise _malformed(str(exc)) from None
 
 
 def load_model(path) -> EnvironmentModel:

@@ -15,7 +15,8 @@ compatibility checks a per-event lookup.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -53,11 +54,28 @@ class EventId:
     """Globally unique event identifier, namespaced by the owning agent.
 
     The namespace is an agent id, ``"inter"`` for inter-agent events, or
-    ``"virtual"`` for the task module's synthetic event.
+    ``"virtual"`` for the task module's synthetic event. The hash is computed
+    once, at construction: events key every transition map.
     """
 
     namespace: str
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.namespace, self.name)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not EventId:
+            return NotImplemented
+        return self._hash == other._hash and self.namespace == other.namespace and self.name == other.name
+
+    def __reduce__(self):
+        # The cached hash is only valid in the process that computed it.
+        return (EventId, (self.namespace, self.name))
 
     def __str__(self) -> str:
         return f"{self.namespace}:{self.name}"
@@ -192,8 +210,8 @@ def make_nfa(
         if e not in costs:
             raise MissingCost(f"no cost for event {e}")
         value = float(costs[e])
-        if not value > 0:
-            raise NonPositiveCost(f"cost of {e} is {value}, must be > 0")
+        if not (value > 0 and math.isfinite(value)):
+            raise NonPositiveCost(f"cost of {e} is {value}, must be finite and > 0")
         cost_map[e] = value
 
     if marked is None:
@@ -362,10 +380,16 @@ def check_compatible(a: Epsilon0Nfa, b: Epsilon0Nfa) -> CompatibilityReport:
     Shared events that label no transition on one side have nothing to
     disagree about and are compatible vacuously.
     """
-    conflicts = []
-    for e in sorted(a.events & b.events):
-        left = a.signatures.get(e)
-        right = b.signatures.get(e)
-        if left is not None and right is not None and left != right:
-            conflicts.append(EndpointConflict(e, left, right))
-    return CompatibilityReport(tuple(conflicts))
+    return compare_signatures(a.signatures, b.signatures)
+
+
+def compare_signatures(left: Mapping, right: Mapping) -> CompatibilityReport:
+    """Report every event in both endpoint-pattern maps (``{EventId:
+    Signature}``) whose patterns differ."""
+    return CompatibilityReport(
+        tuple(
+            EndpointConflict(e, left[e], right[e])
+            for e in sorted(left.keys() & right.keys())
+            if left[e] != right[e]
+        )
+    )

@@ -88,8 +88,8 @@ def cmd_build(scenario_path, model_out):
         _fail(EXIT_COMPOSE, str(exc))
     elapsed = time.perf_counter() - start
     save_model(env, model_out)
-    click.echo(f"states: {len(env.automaton.states)}")
-    click.echo(f"transitions: {len(env.automaton.transitions)}")
+    click.echo(f"states: {env.theta}")
+    click.echo(f"transitions: {env.n_transitions}")
     click.echo(f"preprocess_s: {elapsed:.6f}")
 
 
@@ -196,7 +196,7 @@ def cmd_inject(model_path, model_out, agent, source, target, event):
         _fail(EXIT_COMPOSE, str(exc))
     except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
-    removed = len(env.automaton.transitions) - len(patched.automaton.transitions)
+    removed = env.n_transitions - patched.n_transitions
     save_model(patched, model_out)
     click.echo(f"transitions_removed: {removed}")
 
@@ -291,7 +291,7 @@ def cmd_bench(n_agents, alphabet_size, seed, trials, scenario_path):
         writer.writerow(
             (
                 trial,
-                len(env.automaton.states),
+                env.theta,
                 f"{preprocess_s:.6f}",
                 complete_s,
                 heuristic_s,

@@ -1,10 +1,12 @@
-"""Weighted-digraph view of an environment automaton.
+"""Weighted-digraph view of an environment model.
 
 Node order is the sorted state list, so identical models index identically
-across runs and processes. Edges live in CSR arrays (the kernels' native
-layout); a dense matrix is available for small graphs. Parallel events
-between one ordered state pair collapse to the cheapest event, ties broken by
-event id.
+across runs and processes; for an :class:`~specter.composer.EnvironmentModel`
+that is its own node order. Edges live in CSR arrays (the kernel's native
+layout), built from the model's edge arrays with one sort; a dense matrix is
+available for small graphs. Parallel events between one ordered state pair
+collapse to the cheapest event, ties broken by event id order (namespace,
+then name).
 """
 from __future__ import annotations
 
@@ -13,7 +15,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .automata import Epsilon0Nfa, EventId, State
+from .automata import EventId
+from .composer import EnvironmentModel, edge_arrays
 
 
 @dataclass(frozen=True)
@@ -23,7 +26,8 @@ class WeightedGraph:
     indptr: np.ndarray  # int64, n_nodes + 1
     indices: np.ndarray  # int64, n_edges
     weights: np.ndarray  # float64, n_edges
-    chosen_event: Mapping  # {(int, int): EventId}
+    edge_event: np.ndarray  # int64, n_edges: index into events
+    events: tuple  # sorted EventIds
 
     @property
     def n_nodes(self) -> int:
@@ -33,16 +37,21 @@ class WeightedGraph:
     def n_edges(self) -> int:
         return int(self.indices.shape[0])
 
+    def edge(self, i: int, j: int) -> int:
+        """Position of edge i -> j in ``indices``, -1 when there is none."""
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        k = lo + self.indices[lo:hi].searchsorted(j)
+        return int(k) if k < hi and self.indices[k] == j else -1
+
     def weight(self, i: int, j: int) -> float:
         """Edge weight, 0.0 when no edge exists."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        k = np.searchsorted(self.indices[lo:hi], j)
-        if k < hi - lo and self.indices[lo + k] == j:
-            return float(self.weights[lo + k])
-        return 0.0
+        k = self.edge(i, j)
+        return float(self.weights[k]) if k >= 0 else 0.0
 
     def event(self, i: int, j: int) -> EventId:
-        return self.chosen_event.get((i, j))
+        """The event the edge i -> j stands for, None when no edge exists."""
+        k = self.edge(i, j)
+        return self.events[self.edge_event[k]] if k >= 0 else None
 
     def to_dense(self, max_nodes: int = 2048) -> np.ndarray:
         """Dense adjacency matrix with 0 meaning no edge; small graphs only."""
@@ -58,29 +67,27 @@ class WeightedGraph:
 
 def to_graph(source) -> WeightedGraph:
     """Build the weighted digraph of an environment model or bare automaton."""
-    a: Epsilon0Nfa = getattr(source, "automaton", source)
-    states = tuple(sorted(a.states))
-    index = {s: i for i, s in enumerate(states)}
+    if isinstance(source, EnvironmentModel):
+        states, index, events = source.states, source.node_index, source.events
+        costs, src, dst, event = source.event_costs, source.src, source.dst, source.event
+    else:  # a bare automaton
+        states = tuple(sorted(source.states))
+        index = dict(zip(states, range(len(states))))
+        events = tuple(sorted(source.events))
+        costs = np.array([source.costs[e] for e in events], dtype=np.float64)
+        src, dst, event = edge_arrays(source, index, events)
 
-    best: dict = {}
-    for (x, e), y in a.transitions.items():
-        key = (index[x], index[y])
-        candidate = (a.costs[e], e)
-        old = best.get(key)
-        if old is None or candidate < old:
-            best[key] = candidate
+    # Rank events by (cost, event): the first edge of each (src, dst) run,
+    # sorted by (src, dst, rank), is the one to keep.
+    preference = np.empty(len(events), dtype=np.int64)
+    preference[np.lexsort((np.arange(len(events)), costs))] = np.arange(len(events))
+    order = np.lexsort((preference[event], dst, src))
+    src, dst, event = src[order], dst[order], event[order]
+    first = np.ones(src.shape[0], dtype=np.bool_)
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
 
     n = len(states)
-    m = len(best)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    indices = np.empty(m, dtype=np.int64)
-    weights = np.empty(m, dtype=np.float64)
-    chosen = {}
-    for k, (i, j) in enumerate(sorted(best)):
-        cost, e = best[(i, j)]
-        indptr[i + 1] += 1
-        indices[k] = j
-        weights[k] = cost
-        chosen[(i, j)] = e
-    np.cumsum(indptr, out=indptr)
-    return WeightedGraph(states, index, indptr, indices, weights, chosen)
+    np.cumsum(np.bincount(src[first], minlength=n), out=indptr[1:])
+    event = event[first]
+    return WeightedGraph(states, index, indptr, dst[first], costs[event], event, events)

@@ -17,16 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._kernels import dijkstra_arrays
-from .automata import (
-    VIRTUAL_NAMESPACE,
-    EventId,
-    Projector,
-    State,
-    delta,
-    merge_on,
-    proj,
-    state_str,
-)
+from .automata import VIRTUAL_NAMESPACE, EventId, Projector, State, merge_on, proj, state_str
 from .composer import EnvironmentModel
 from .errors import (
     BrokenPath,
@@ -144,10 +135,10 @@ def build_chain(path: Sequence, g: WeightedGraph, x0: State, x_d: State) -> Modu
             i, j = g.node_index[u], g.node_index[v]
         except KeyError as exc:
             raise BrokenPath(f"path state {exc.args[0]} is not a node of the graph") from None
-        e = g.chosen_event.get((i, j))
-        if e is None:
+        k = g.edge(i, j)
+        if k < 0:
             raise BrokenPath(f"no edge between consecutive states {state_str(u)} and {state_str(v)}")
-        mods.append(PortModule(u, e, v, g.weight(i, j)))
+        mods.append(PortModule(u, g.events[g.edge_event[k]], v, float(g.weights[k])))
     t0_inv = PortModule(tuple(x_d), VIRTUAL_TASK_EVENT, tuple(x0), 0.0)
     return ModuleChain(t0_inv, tuple(mods))
 
@@ -184,17 +175,17 @@ def plan_complete(
     goal with the smallest node index.
     """
     x0 = tuple(x0)
-    a = env.automaton
-    delta(a, x0)  # designate the initial state; validates x0
+    source = env.node_of(x0)
     _validate_task(env, task)
     b, gamma = task.projector, task.target
-    if proj(x0, b) == gamma and x0 in a.marked:
+    if proj(x0, b) == gamma and env.marked[source]:
         return _empty_plan(x0, "complete")
 
     g = to_graph(env) if graph is None else graph
-    source = g.node_index[x0]
     goal = np.fromiter(
-        (s in a.marked and proj(s, b) == gamma for s in g.states), dtype=np.bool_, count=g.n_nodes
+        (m and proj(s, b) == gamma for m, s in zip(env.marked.tolist(), g.states)),
+        dtype=np.bool_,
+        count=g.n_nodes,
     )
     if not goal.any():
         raise NoGoalStates(f"no marked state projects onto {gamma} under {task.projector}")
@@ -222,15 +213,14 @@ def plan_heuristic(
     feasibility; the complete solver may still succeed.
     """
     x0 = tuple(x0)
-    a = env.automaton
-    delta(a, x0)
+    source = env.node_of(x0)
     _validate_task(env, task)
     b, gamma = task.projector, task.target
-    if proj(x0, b) == gamma and x0 in a.marked:
+    if proj(x0, b) == gamma and env.marked[source]:
         return _empty_plan(x0, "heuristic")
 
-    x_d = merge_on(x0, b, gamma)
-    if x_d not in a.states or x_d not in a.marked:
+    x_d = merge_on(x0, b, gamma)  # a state: _validate_task checked gamma's labels
+    if not env.marked[env.node_of(x_d)]:
         raise NoSuchGoal(f"{state_str(x_d)} is not a marked state of the model")
 
     g = to_graph(env) if graph is None else graph

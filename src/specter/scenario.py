@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -159,6 +160,16 @@ def _schema_diagnostics(doc) -> list:
     return out
 
 
+def _check_cost(cost, where, diags) -> None:
+    # JSON reads Infinity and NaN, and the schema's exclusiveMinimum lets both through.
+    try:
+        finite = cost is None or math.isfinite(cost)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        diags.append(Diagnostic(NON_POSITIVE_COST, f"cost {cost} is not finite", where))
+
+
 def _decl_automaton(raw, where, diags, *, costs_required) -> AutomatonDecl:
     states = tuple(raw["states"])
     if len(set(states)) != len(states):
@@ -181,6 +192,7 @@ def _decl_automaton(raw, where, diags, *, costs_required) -> AutomatonDecl:
         cost = t.get("cost")
         if costs_required and cost is None:
             diags.append(Diagnostic(SCHEMA, "transition is missing a cost", t_where))
+        _check_cost(cost, f"{t_where}/cost", diags)
         transitions.append(TransitionDecl(t["from"], t["event"], t["to"], cost))
     marked = raw.get("marked")
     if marked is not None:
@@ -206,6 +218,7 @@ def _decl_inter_section(raw, where, n_agents, diags) -> InterSectionDecl:
                     e_where,
                 )
             )
+        _check_cost(e["cost"], f"{e_where}/cost", diags)
         events.append(InterEventDecl(e["name"], src, dst, float(e["cost"])))
     templates = []
     for k, t in enumerate(raw.get("templates", ())):
@@ -222,6 +235,7 @@ def _decl_inter_section(raw, where, n_agents, diags) -> InterSectionDecl:
                         t_where,
                     )
                 )
+        _check_cost(t["cost"], f"{t_where}/cost", diags)
         templates.append(InterTemplateDecl(t["name"], members, dict(t["from"]), dict(t["to"]), float(t["cost"])))
     return InterSectionDecl(tuple(events), tuple(templates))
 

@@ -68,3 +68,38 @@ def random_arity1_nfa(rng: random.Random, slot: str, n_states: int, n_edges: int
         transitions[((u,), e)] = (v,)
         costs[e] = rng.randint(1, 100)
     return make_nfa((slot,), [(label,) for label in labels], costs.keys(), transitions, costs)
+
+
+def _set(path, value):
+    """A model-document mutation: put ``value`` at the key/index ``path``."""
+
+    def mutate(doc):
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+
+    return mutate
+
+
+def _extra_label(doc):
+    doc["alphabets"][0].append("Zeta")
+
+
+def _swap_first_states(doc):
+    doc["states"][0], doc["states"][1] = doc["states"][1], doc["states"][0]
+
+
+# Defects a model artifact can carry; each must load as an ArtifactError.
+MODEL_DEFECTS = {
+    "string cost": _set(("events", 0, "cost"), "fast"),
+    "list cost": _set(("events", 0, "cost"), [1]),
+    "infinite cost": _set(("events", 0, "cost"), float("inf")),
+    "cost beyond the float range": _set(("events", 0, "cost"), 10**400),
+    "integer state": _set(("states", 0), 7),
+    "extra alphabet label": _extra_label,
+    "states out of product order": _swap_first_states,
+    "negative state index": _set(("transitions", 0, 0), -1),
+    "event index out of range": _set(("transitions", 0, 1), 10_000),
+}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,8 @@ from specter.errors import ArtifactError
 from specter.oracle import random_scenario
 from specter.planner import check_chain, plan_complete
 from specter.scenario import build_scenario_environment, parse_scenario
+
+from .conftest import MODEL_DEFECTS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -59,6 +62,25 @@ class TestModelArtifacts:
         text = dump_model(small_env).replace('"version": 1', '"version": 99')
         with pytest.raises(ArtifactError):
             parse_model(text)
+
+
+@pytest.fixture(scope="module")
+def factory_doc():
+    text = (SCENARIOS / "factory_cell.json").read_text()
+    return json.loads(dump_model(build_scenario_environment(parse_scenario(text))))
+
+
+@pytest.mark.parametrize("defect", sorted(MODEL_DEFECTS))
+def test_malformed_model_raises_artifact_error(factory_doc, defect):
+    doc = json.loads(json.dumps(factory_doc))
+    MODEL_DEFECTS[defect](doc)
+    with pytest.raises(ArtifactError):
+        parse_model(json.dumps(doc))
+
+
+def test_unmutated_factory_document_loads(factory_doc):
+    env = parse_model(json.dumps(factory_doc))
+    assert env.theta == len(env.automaton.states) == 560
 
 
 class TestPlanDocuments:

@@ -43,6 +43,12 @@ class TestMakeNfa:
         with pytest.raises(NonPositiveCost):
             make_nfa(("R1",), [("A",), ("B",)], [e1], {(("A",), e1): ("B",)}, {e1: 0})
 
+    @pytest.mark.parametrize("cost", [float("inf"), float("nan")])
+    def test_non_finite_cost_rejected(self, cost):
+        e1 = ev("R1", "e1")
+        with pytest.raises(NonPositiveCost):
+            make_nfa(("R1",), [("A",), ("B",)], [e1], {(("A",), e1): ("B",)}, {e1: cost})
+
     def test_missing_cost_rejected(self):
         e1 = ev("R1", "e1")
         with pytest.raises(MissingCost):
@@ -250,3 +256,10 @@ class TestSmallEdges:
             make_nfa(("s",), [("has|pipe",)], [], {}, {})
         with pytest.raises(ValueError):
             make_nfa(("s",), [("",)], [], {}, {})
+
+
+def test_event_id_parse_equals_constructor_and_hashes_equally():
+    parsed, built = EventId.parse("a:b"), EventId("a", "b")
+    assert parsed == built
+    assert hash(parsed) == hash(built)
+    assert {parsed: 1}[built] == 1

@@ -11,6 +11,8 @@ from click.testing import CliRunner
 from specter.artifacts import parse_plan
 from specter.cli import BENCH_HEADER, main
 
+from .conftest import MODEL_DEFECTS
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
@@ -140,6 +142,18 @@ class TestPlan:
         bogus.write_text("{}")
         result = runner.invoke(main, ["plan", str(bogus), "--initial", "A", "--task", "x=B"])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("defect", sorted(MODEL_DEFECTS))
+    def test_malformed_model_exit_1(self, built_model, runner, tmp_path, defect):
+        doc = json.loads(Path(built_model).read_text())
+        MODEL_DEFECTS[defect](doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["plan", str(bad), "--initial", self.INITIAL, "--task", "I1=B"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "malformed model document" in result.output
 
     def test_out_file(self, failed_model, runner, tmp_path):
         out = tmp_path / "plan.json"

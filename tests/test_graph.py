@@ -60,10 +60,11 @@ def test_node_order_is_sorted_states():
 def test_edge_count_bounded_by_events_and_weights_coherent(nfa):
     g = to_graph(nfa)
     assert g.n_edges <= len(nfa.transitions)
-    # chosen_event and weights describe exactly the same edge set.
-    for (i, j), e in g.chosen_event.items():
-        assert g.weight(i, j) == nfa.costs[e]
-    assert len(g.chosen_event) == g.n_edges
+    # edge_event and weights describe exactly the same edge set.
+    for i in range(g.n_nodes):
+        for j in g.indices[g.indptr[i]:g.indptr[i + 1]]:
+            assert g.weight(i, j) == nfa.costs[g.event(i, j)]
+    assert len(g.edge_event) == g.n_edges
     assert g.indptr[-1] == g.n_edges
     assert np.all(g.weights > 0)
 

@@ -246,7 +246,7 @@ class TestTieBreakContract:
             assert result.cost == cost
             assert result.goal_state == g.states[path[-1]]
             assert result.chain.events == tuple(
-                g.chosen_event[(i, j)] for i, j in zip(path, path[1:])
+                g.event(i, j) for i, j in zip(path, path[1:])
             )
             planned += 1
         assert planned >= 100

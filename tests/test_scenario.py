@@ -86,6 +86,15 @@ class TestParse:
         _, diags = validate_scenario(json.dumps(doc))
         assert any(d.code == "non-positive-cost" for d in diags)
 
+    def test_infinite_cost_is_non_positive_cost(self):
+        doc = _minimal_doc()
+        doc["agents"][0]["capabilities"][0]["transitions"][0]["cost"] = math.inf
+        text = json.dumps(doc)
+        assert "Infinity" in text
+        _, diags = validate_scenario(text)
+        assert [d.code for d in diags] == ["non-positive-cost"]
+        assert diags[0].where == "/agents/0/capabilities/0/transitions/0/cost"
+
     def test_duplicate_event_with_conflicting_endpoints(self):
         doc = _minimal_doc()
         doc["agents"][0]["capabilities"][0]["transitions"][1]["event"] = "go"
