@@ -1,35 +1,26 @@
 """The shortest-dipath kernel over CSR arrays.
 
-One binary-heap Dijkstra. It is compiled with numba when numba imports and
-runs as plain Python on the same numpy arrays when it does not, so both
-configurations return the same arrays by construction.
+One lazy-deletion binary-heap Dijkstra in plain Python, using ``heapq`` on
+``(distance, node)`` tuples. It reads the CSR arrays through memoryviews,
+which wrap them without a copy and index to Python scalars, and keeps its
+working state in dicts and a set holding only the nodes the search reaches.
 """
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from math import inf
+
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]) and not kwargs:
-            return args[0]
-        return wrap
+# Kept only because ``perfbench/bench.py`` records both in its provenance.
+HAS_NUMBA = False
 
 
 def resolve_backend() -> str:
-    """How the kernel runs here: ``"numba"`` (compiled) or ``"python"``."""
-    return "numba" if HAS_NUMBA else "python"
+    """How the kernel runs here: always ``"python"``."""
+    return "python"
 
 
-@njit(cache=True, nogil=True)
 def dijkstra_arrays(indptr, indices, weights, source, goal):
     """Single-source search that stops at the first node it settles whose
     ``goal`` bit is set.
@@ -40,71 +31,33 @@ def dijkstra_arrays(indptr, indices, weights, source, goal):
     overwritten on a strict improvement, so among goals of equal cost the
     one with the smallest index is found.
     """
-    n = indptr.shape[0] - 1
-    dist = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=np.int64)
-    done = np.zeros(n, dtype=np.bool_)
-    # Lazy-deletion binary heap on (distance, node), lexicographic.
-    cap = indices.shape[0] + 2
-    heap_d = np.empty(cap, dtype=np.float64)
-    heap_v = np.empty(cap, dtype=np.int64)
-    heap_d[0] = 0.0
-    heap_v[0] = source
-    size = 1
-    dist[source] = 0.0
+    n = len(indptr) - 1
+    out_dist = np.full(n, np.inf)
+    out_pred = np.full(n, -1, dtype=np.int64)
+    indptr, indices, weights, goal = map(memoryview, (indptr, indices, weights, goal))
+    source = int(source)
+    dist = {source: 0.0}
+    pred = {}
+    done = set()
+    heap = [(0.0, source)]
     found = -1
-    while size > 0:
-        d0 = heap_d[0]
-        v0 = heap_v[0]
-        size -= 1
-        heap_d[0] = heap_d[size]
-        heap_v[0] = heap_v[size]
-        i = 0
-        while True:
-            left = 2 * i + 1
-            right = left + 1
-            smallest = i
-            if left < size and (
-                heap_d[left] < heap_d[smallest]
-                or (heap_d[left] == heap_d[smallest] and heap_v[left] < heap_v[smallest])
-            ):
-                smallest = left
-            if right < size and (
-                heap_d[right] < heap_d[smallest]
-                or (heap_d[right] == heap_d[smallest] and heap_v[right] < heap_v[smallest])
-            ):
-                smallest = right
-            if smallest == i:
-                break
-            heap_d[i], heap_d[smallest] = heap_d[smallest], heap_d[i]
-            heap_v[i], heap_v[smallest] = heap_v[smallest], heap_v[i]
-            i = smallest
-        if done[v0]:
+    while heap:
+        d, v = heappop(heap)
+        if v in done:
             continue
-        done[v0] = True
-        if goal[v0]:
-            found = v0
+        done.add(v)
+        if goal[v]:
+            found = v
             break
-        for k in range(indptr[v0], indptr[v0 + 1]):
+        for k in range(indptr[v], indptr[v + 1]):
             w = indices[k]
-            if done[w]:
+            if w in done:
                 continue
-            nd = d0 + weights[k]
-            if nd < dist[w]:
+            nd = d + weights[k]
+            if nd < dist.get(w, inf):
                 dist[w] = nd
-                pred[w] = v0
-                j = size
-                heap_d[j] = nd
-                heap_v[j] = w
-                size += 1
-                while j > 0:
-                    parent = (j - 1) // 2
-                    if heap_d[parent] > heap_d[j] or (
-                        heap_d[parent] == heap_d[j] and heap_v[parent] > heap_v[j]
-                    ):
-                        heap_d[j], heap_d[parent] = heap_d[parent], heap_d[j]
-                        heap_v[j], heap_v[parent] = heap_v[parent], heap_v[j]
-                        j = parent
-                    else:
-                        break
-    return dist, pred, found
+                pred[w] = v
+                heappush(heap, (nd, w))
+    out_dist[list(dist)] = list(dist.values())
+    out_pred[list(pred)] = list(pred.values())
+    return out_dist, out_pred, found

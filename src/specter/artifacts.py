@@ -77,7 +77,8 @@ def _index_table(values, bounds, what: str) -> None:
 
 def parse_model(text: str) -> EnvironmentModel:
     """Read a model document, validating all of it: the states must be the
-    product of the sorted alphabets, in order, and the automaton goes through
+    product of the sorted alphabets, in order, no event, marked index or
+    (state, event) pair may appear twice, and the automaton goes through
     :func:`~specter.automata.make_nfa`. Every defect raises
     :class:`ArtifactError`."""
     doc = _load_json(text, MODEL_FORMAT)
@@ -108,6 +109,12 @@ def parse_model(text: str) -> EnvironmentModel:
         _index_table(triples, (len(states), len(events), len(states)), "transitions")
         marked = {states[i] for i in marked_at}
         transitions = {(states[i], events[k]): states[j] for i, k, j in triples}
+        if len(costs) < len(events):
+            raise _malformed("events repeat an entry")
+        if len(marked) < len(marked_at):
+            raise _malformed("marked repeats a state index")
+        if len(transitions) < len(triples):
+            raise _malformed("transitions repeat a (state, event) pair")
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise _malformed(repr(exc)) from None
     try:

@@ -11,11 +11,12 @@ from __future__ import annotations
 import csv
 import sys
 import time
+from pathlib import Path
 
 import click
 
 from . import __version__
-from .artifacts import Timings, load_model, load_plan, save_model, serialize_plan
+from .artifacts import Timings, dump_model, load_model, load_plan, serialize_plan
 from .automata import INTER_NAMESPACE, EventId, parse_state
 from .composer import EnvironmentModel, FailureEvent, build_environment, inject_failure
 from .dot import automaton_dot, chain_dot
@@ -59,6 +60,13 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+def _write(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        _fail(EXIT_INPUT, f"cannot write {path}: {exc}")
+
+
 @click.group()
 @click.version_option(__version__, prog_name="specter")
 def main():
@@ -87,7 +95,7 @@ def cmd_build(scenario_path, model_out):
     except SpecterError as exc:
         _fail(EXIT_COMPOSE, str(exc))
     elapsed = time.perf_counter() - start
-    save_model(env, model_out)
+    _write(model_out, dump_model(env))
     click.echo(f"states: {env.theta}")
     click.echo(f"transitions: {env.n_transitions}")
     click.echo(f"preprocess_s: {elapsed:.6f}")
@@ -164,7 +172,7 @@ def cmd_plan(model_path, initial_text, task_text, solver, out_path):
 
     text = serialize_plan(result, env.agent_ids, Timings(load_s, solve_s))
     if out_path:
-        open(out_path, "w", encoding="utf-8").write(text)
+        _write(out_path, text)
     else:
         click.echo(text, nl=False)
     click.echo(f"load_s: {load_s:.6f}", err=True)
@@ -197,7 +205,7 @@ def cmd_inject(model_path, model_out, agent, source, target, event):
     except ValueError as exc:
         _fail(EXIT_INPUT, str(exc))
     removed = env.n_transitions - patched.n_transitions
-    save_model(patched, model_out)
+    _write(model_out, dump_model(patched))
     click.echo(f"transitions_removed: {removed}")
 
 
@@ -254,9 +262,12 @@ def cmd_bench(n_agents, alphabet_size, seed, trials, scenario_path):
         except ScenarioError as exc:
             _fail(EXIT_INPUT, str(exc))
         start = time.perf_counter()
-        env = build_scenario_environment(scenario)
-        for failure in failure_events(scenario):
-            env = inject_failure(env, failure)
+        try:
+            env = build_scenario_environment(scenario)
+            for failure in failure_events(scenario):
+                env = inject_failure(env, failure)
+        except SpecterError as exc:
+            _fail(EXIT_COMPOSE, str(exc))
         graph = to_graph(env)
         preprocess_s = time.perf_counter() - start
         prepared = (env, graph, scenario.initial, task_spec(scenario), preprocess_s)

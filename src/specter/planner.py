@@ -226,12 +226,8 @@ def plan_heuristic(
     g = to_graph(env) if graph is None else graph
     path, _ = dijkstra(g, x0, x_d)  # NoPath propagates: heuristic failure
 
-    cost = 0.0
     for k in range(1, len(path)):
-        i, j = g.node_index[path[k - 1]], g.node_index[path[k]]
-        cost += g.weight(i, j)
         if proj(path[k], b) == gamma:
-            prefix = path[: k + 1]
-            chain = build_chain(prefix, g, x0, prefix[-1])
-            return PlanResult(chain, cost, prefix[-1], "heuristic")
+            chain = build_chain(path[: k + 1], g, x0, path[k])
+            return PlanResult(chain, chain.total_cost, path[k], "heuristic")
     raise NoPath(f"no prefix of the path to {state_str(x_d)} satisfies the task")

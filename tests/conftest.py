@@ -91,6 +91,20 @@ def _swap_first_states(doc):
     doc["states"][0], doc["states"][1] = doc["states"][1], doc["states"][0]
 
 
+def _repeat_first(key):
+    """A model-document mutation: append ``doc[key][0]`` again."""
+
+    def mutate(doc):
+        doc[key].append(doc[key][0])
+
+    return mutate
+
+
+def _repeat_event_at_other_cost(doc):
+    first = doc["events"][0]
+    doc["events"].append({**first, "cost": first["cost"] + 1})
+
+
 # Defects a model artifact can carry; each must load as an ArtifactError.
 MODEL_DEFECTS = {
     "string cost": _set(("events", 0, "cost"), "fast"),
@@ -102,4 +116,8 @@ MODEL_DEFECTS = {
     "states out of product order": _swap_first_states,
     "negative state index": _set(("transitions", 0, 0), -1),
     "event index out of range": _set(("transitions", 0, 1), 10_000),
+    "repeated event, equal cost": _repeat_first("events"),
+    "repeated event, conflicting cost": _repeat_event_at_other_cost,
+    "repeated marked index": _repeat_first("marked"),
+    "repeated transition row": _repeat_first("transitions"),
 }

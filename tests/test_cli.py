@@ -71,6 +71,13 @@ class TestBuild:
         result = runner.invoke(main, ["build", str(bad), str(tmp_path / "out.json")])
         assert result.exit_code == 1
 
+    def test_unwritable_output_exit_1(self, runner, tmp_path):
+        out = tmp_path / "missing" / "m.json"
+        result = runner.invoke(main, ["build", str(SCENARIOS / "factory_cell.json"), str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: cannot write {out}" in result.output
+
     def test_rebuild_byte_identical(self, runner, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert runner.invoke(main, ["build", str(SCENARIOS / "factory_cell.json"), str(a)]).exit_code == 0
@@ -164,6 +171,16 @@ class TestPlan:
         assert result.exit_code == 0
         assert parse_plan(out.read_text()).total_cost == 55.0
 
+    def test_unwritable_out_file_exit_1(self, failed_model, runner, tmp_path):
+        out = tmp_path / "missing" / "plan.json"
+        result = runner.invoke(
+            main,
+            ["plan", str(failed_model), "--initial", self.INITIAL, "--task", "I1=B", "--out", str(out)],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: cannot write {out}" in result.output
+
 
 class TestInject:
     def test_reports_removed_count(self, built_model, runner, tmp_path):
@@ -174,6 +191,16 @@ class TestInject:
         )
         assert result.exit_code == 0
         assert "transitions_removed: 140" in result.output
+
+    def test_unwritable_output_exit_1(self, built_model, runner, tmp_path):
+        out = tmp_path / "missing" / "patched.json"
+        result = runner.invoke(
+            main,
+            ["inject", str(built_model), str(out), "--agent", "R2", "--from", "Psi", "--to", "A"],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: cannot write {out}" in result.output
 
     def test_noop_injection(self, built_model, runner, tmp_path):
         out = tmp_path / "same.json"
@@ -266,3 +293,14 @@ class TestBench:
         for row in rows:
             assert float(row["complete_cost"]) == 55.0
             assert float(row["heuristic_cost"]) == 55.0
+
+    def test_scenario_composition_error_exit_2(self, runner, tmp_path):
+        doc = json.loads((SCENARIOS / "workflow_small.json").read_text())
+        doc["options"] = {"template_cap": 1}
+        capped = tmp_path / "capped.json"
+        capped.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["bench", "--scenario", str(capped), "--trials", "1"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "error: templates expand to 13248 events, cap is 1" in result.output
